@@ -9,6 +9,7 @@ predictions and explicit shape boundaries.
 from .cutgen import CutFailureError, CutGenConfig, sample_cut, sample_control_points, sample_offset
 from .data import (
     ImageGrid,
+    InputFormatError,
     LabeledPoints,
     PgmParseError,
     ingest_pgm,
@@ -28,7 +29,6 @@ from .geometry import (
     InvalidCurveError,
     bezier_eval,
     bezier_y_at_x,
-    convex_hull,
     rotate,
     side_of_cut,
     smallest_enclosing_circle,

@@ -2,8 +2,9 @@
 command line, seed, configuration, git revision, wall time, and SHA-256 digests
 of all produced files.
 
-Exit codes: 0 success, 2 usage error, 3 file/parse error, 4 numerical or
-model-format error.
+Exit codes: 0 success, 2 usage error, 3 file/parse error (including a model
+file with a missing or malformed field), 4 numerical error or a JSON file that
+is not a model.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .cutgen import CutFailureError, CutGenConfig
 from .data import (
+    InputFormatError,
     LabeledPoints,
-    PgmParseError,
     ingest_pgm,
     knn_max_dist,
     load_points_csv,
@@ -485,7 +486,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         result = args.func(args)
-    except (PgmParseError, OSError) as exc:
+    except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (InvalidCurveError, DegenerateInputError, CutFailureError, ValueError, ArithmeticError) as exc:

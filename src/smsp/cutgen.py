@@ -17,10 +17,15 @@ from .geometry import (
     TWO_PI,
     BezierCurve,
     BezierCut,
+    InvalidCurveError,
+    _casteljau,
     rotate,
     side_of_cut,
     smallest_enclosing_circle,
 )
+
+# parameter grid on which a proposal's curve heights are bounded
+HEIGHT_KNOTS = 256
 
 
 class CutFailureError(RuntimeError):
@@ -98,9 +103,8 @@ def sample_control_points(order: int, cfg: CutGenConfig, rng) -> BezierCurve:
 
 
 def curve_height_extrema(curve: BezierCurve) -> tuple[float, float]:
-    """Min and max curve height on the standard dense parameter grid."""
-    cut = BezierCut(0.0, curve, 0.0)
-    _, gy, _, _ = cut.profile()
+    """Min and max curve height over HEIGHT_KNOTS evenly spaced parameters."""
+    gy = _casteljau(curve.controls[:, 1], np.linspace(0.0, 1.0, HEIGHT_KNOTS))
     return float(gy.min()), float(gy.max())
 
 
@@ -116,12 +120,6 @@ def sample_offset(curve: BezierCurve, y_range: tuple[float, float], rng) -> floa
     lo = y_min - g_max
     hi = y_max - g_min
     return float(rng.uniform(lo, hi))
-
-
-def cut_separates(cut: BezierCut, points) -> bool:
-    """True iff the cut puts at least one point on each side."""
-    above = side_of_cut(points, cut)
-    return bool(above.any()) and not bool(above.all())
 
 
 def sample_cut(points, cfg: CutGenConfig, rng, center=None, radius=None) -> BezierCut:
@@ -183,4 +181,7 @@ def cut_from_dict(d: dict) -> BezierCut:
     curve = BezierCurve(np.asarray(d["controls"], dtype=float))
     if curve.order != int(d["order"]):
         raise ValueError("control count does not match declared order")
+    xs = curve.controls[:, 0].tolist()
+    if xs != sorted(xs) or not xs[-1] > xs[0]:
+        raise InvalidCurveError("cut control x-coordinates must be nondecreasing and span a positive width")
     return BezierCut(float(d["theta"]), curve, float(d["offset"]))

@@ -8,7 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class PgmParseError(ValueError):
+class InputFormatError(ValueError):
+    """Malformed input file: a points CSV, a PGM image or a model file."""
+
+
+class PgmParseError(InputFormatError):
     """Malformed PGM input; ``offset`` is the byte position of the problem."""
 
     def __init__(self, message: str, offset: int):
@@ -55,17 +59,20 @@ def load_points_csv(path) -> LabeledPoints:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "x,y,label":
-            raise ValueError(f"expected 'x,y,label' header in {path}")
-        for line in fh:
+            raise InputFormatError(f"expected 'x,y,label' header in {path}")
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            sx, sy, sl = line.split(",")
-            xs.append(float(sx))
-            ys.append(float(sy))
-            labs.append(int(sl))
+            try:
+                sx, sy, sl = line.split(",")
+                xs.append(float(sx))
+                ys.append(float(sy))
+                labs.append(int(sl))
+            except ValueError:
+                raise InputFormatError(f"{path} line {lineno}: expected x,y,label numbers, got {line!r}") from None
     if not xs:
-        raise ValueError(f"no points in {path}")
+        raise InputFormatError(f"no points in {path}")
     return LabeledPoints(np.column_stack((xs, ys)), np.asarray(labs))
 
 

@@ -1,4 +1,4 @@
-"""Planar geometry kernel: rotations, monotone Bezier curves, enclosing circles, hulls.
+"""Planar geometry kernel: rotations, monotone Bezier curves and cut sides, enclosing circles.
 
 Everything here is deterministic given its inputs; the only randomness is the
 caller-supplied generator used to shuffle points for the enclosing-circle search.
@@ -7,7 +7,7 @@ caller-supplied generator used to shuffle points for the enclosing-circle search
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,9 +15,6 @@ TWO_PI = 2.0 * math.pi
 
 # |y' - g(x') - t| below this counts as lying on the curve and resolves to "below"
 TIE_EPS = 1e-12
-
-# parameter grid used both for curve-height extrema and for point classification
-PROFILE_KNOTS = 256
 
 
 class InvalidCurveError(ValueError):
@@ -80,38 +77,74 @@ def bezier_eval(curve: BezierCurve, s):
     return np.stack((x, y), axis=-1)
 
 
+_BINOMIALS = ((1.0,), (1.0, 1.0), (1.0, 2.0, 1.0), (1.0, 3.0, 3.0, 1.0))
+
+
+def _power_coeffs(cs):
+    # power-basis coefficients of the Bezier polynomial with Bernstein
+    # coefficients cs: a_k = C(n, k) times the k-th forward difference at 0
+    out = []
+    for binom in _BINOMIALS[len(cs) - 1]:
+        out.append(binom * cs[0])
+        cs = [b - a for a, b in zip(cs, cs[1:])]
+    return out
+
+
+def _horner(a, s):
+    # sum of a[k] * s**k
+    out = a[-1]
+    for c in a[-2::-1]:
+        out = out * s + c
+    return out
+
+
+# cap on Newton steps, met only when tol is near rounding level
+_MAX_STEPS = 64
+
+
 def bezier_y_at_x(curve: BezierCurve, x, tol: float = 1e-10):
     """Height of the curve at abscissa ``x``.
 
-    The x-component is nondecreasing by construction, so the parameter is found
-    by bisection (bracket shrunk below ``tol``) for every order; no closed forms.
-    Outside the x-span of the curve the nearest endpoint height is returned, so
-    the function is total and continuous.
+    The x-component is nondecreasing by construction, so the parameter s with
+    x(s) = x is found by Newton's method on the power-basis coefficients of
+    x(s), kept inside a sign bracket: a step that leaves the bracket is
+    replaced by bisection. Iteration stops once no Newton step exceeds
+    ``tol``; the height is then the power-basis y(s). Outside the x-span of
+    the curve the nearest endpoint height is returned exactly, so the
+    function is total and continuous; a zero-span curve is all endpoints.
     """
-    xs = curve.controls[:, 0]
-    if np.any(np.diff(xs) < 0.0):
+    xs, ys = curve.controls.T.tolist()
+    if any(b < a for a, b in zip(xs, xs[1:])):
         raise InvalidCurveError("control x-coordinates must be nondecreasing")
-    xq = np.asarray(x, dtype=float)
-    scalar = xq.ndim == 0
-    xq = np.atleast_1d(xq).astype(float)
-    out = np.empty(xq.shape)
-    left = xq <= xs[0]
-    right = xq >= xs[-1]
-    out[left] = curve.controls[0, 1]
-    out[right] = curve.controls[-1, 1]
-    inner = ~(left | right)
+    xq = np.atleast_1d(np.asarray(x, dtype=float))
+    x0 = xs[0]
+    xn = xs[-1]
+    out = np.where(xq >= xn, ys[-1], ys[0])
+    inner = (xq > x0) & (xq < xn)
     if inner.any():
-        tgt = xq[inner]
-        lo = np.zeros(tgt.shape)
-        hi = np.ones(tgt.shape)
-        iters = max(1, math.ceil(-math.log2(tol)))
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            took = _casteljau(xs, mid) < tgt
-            lo = np.where(took, mid, lo)
-            hi = np.where(took, hi, mid)
-        out[inner] = _casteljau(curve.controls[:, 1], 0.5 * (lo + hi))
-    return float(out[0]) if scalar else out
+        xi = xq[inner]
+        s = (xi - x0) * (1.0 / (xn - x0))
+        a = _power_coeffs(xs)
+        da = [k * ak for k, ak in enumerate(a) if k]
+        a[0] = x0 - xi  # Newton solves x(s) - xi = 0
+        lo = 0.0
+        hi = 1.0
+        # a vanishing derivative (only at a stationary end) gives an infinite
+        # or undefined step, which the bracket test turns into bisection
+        with np.errstate(all="ignore"):
+            for _ in range(_MAX_STEPS):
+                f = _horner(a, s)
+                below = f < 0.0
+                lo = np.where(below, s, lo)
+                hi = np.where(below, hi, s)
+                step = f / _horner(da, s)
+                nxt = s - step
+                inside = (nxt >= lo) & (nxt <= hi)
+                s = nxt if inside.all() else np.where(inside, nxt, 0.5 * (lo + hi))
+                if np.abs(step).max() <= tol:
+                    break
+        out[inner] = _horner(_power_coeffs(ys), s)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 @dataclass(eq=False)
@@ -119,85 +152,33 @@ class BezierCut:
     """A cut: rotation angle, monotone Bezier curve in the rotated frame, vertical offset.
 
     A point p is "above" the cut iff, with p' = rotate(p, theta),
-    p'.y > g(p'.x) + offset where g is the curve height; ties go below.
+    p'.y > g(p'.x) + offset where g is the curve height; ties go below. The
+    three fields are the whole cut: nothing is cached on it.
     """
 
     theta: float
     curve: BezierCurve
     offset: float
-    _profile: tuple | None = field(default=None, repr=False, compare=False)
-
-    def profile(self):
-        """Cached dense sampling of the curve on the standard parameter grid."""
-        if self._profile is None:
-            self._profile = _curve_profile(self.curve)
-        return self._profile
-
-
-def _curve_profile(curve: BezierCurve):
-    s = np.linspace(0.0, 1.0, PROFILE_KNOTS)
-    gx = _casteljau(curve.controls[:, 0], s)
-    gy = _casteljau(curve.controls[:, 1], s)
-    ys = curve.controls[:, 1]
-    order = curve.order
-    if order >= 2:
-        # |g_y''| <= order*(order-1)*max|second difference of y controls|
-        m2 = order * (order - 1) * float(np.max(np.abs(np.diff(ys, n=2))))
-    else:
-        m2 = 0.0
-    ds = 1.0 / (PROFILE_KNOTS - 1)
-    # chord deviation bound plus slack covering the inversion tolerance
-    band = 0.125 * ds * ds * m2 + 4e-9 * (1.0 + float(np.max(np.abs(ys))))
-    strict = bool(np.all(np.diff(gx) > 0.0))
-    return gx, gy, band, strict
 
 
 def side_of_cut(points, cut: BezierCut):
     """True where the point lies above the offset curve in the cut's rotated frame.
 
-    Points within TIE_EPS of the curve count as below. Accepts a single point
-    or an (n, 2) array; returns a bool or a bool array.
-
-    Most points are classified from the cached curve profile: the curve height
-    over one knot interval is bracketed by the chord plus a rigorous deviation
-    band, which decides every point outside the band. Points inside the band
-    fall back to exact bisection, so the result is identical to comparing
-    against ``bezier_y_at_x`` directly.
+    One computation for every point: rotate by the cut's angle, take the
+    curve height at the rotated abscissa from ``bezier_y_at_x``, and call the
+    point above iff it clears height plus offset by at least TIE_EPS, so
+    points on the curve count as below. Accepts a single point or an (n, 2)
+    array; returns a bool or a bool array.
     """
     pts = np.asarray(points, dtype=float)
     scalar = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    rot = rotate(pts, cut.theta)
-    xq = rot[:, 0]
-    dq = rot[:, 1] - cut.offset
-    xs = cut.curve.controls[:, 0]
-    ys = cut.curve.controls[:, 1]
-    gx, gy, band, strict = cut.profile()
-
-    above = np.empty(len(pts), dtype=bool)
-    left = xq <= xs[0]
-    right = xq >= xs[-1]
-    above[left] = dq[left] - ys[0] >= TIE_EPS
-    above[right] = dq[right] - ys[-1] >= TIE_EPS
-    inner = ~(left | right)
-    if inner.any():
-        xi = xq[inner]
-        di = dq[inner]
-        if strict:
-            k = np.searchsorted(gx, xi, side="right") - 1
-            k = np.clip(k, 0, len(gx) - 2)
-            y_lo = np.minimum(gy[k], gy[k + 1]) - band
-            y_hi = np.maximum(gy[k], gy[k + 1]) + band
-            res = di - y_hi >= TIE_EPS
-            undecided = ~res & (di - y_lo >= TIE_EPS)
-            if undecided.any():
-                g = bezier_y_at_x(cut.curve, xi[undecided])
-                res[undecided] = di[undecided] - g >= TIE_EPS
-        else:
-            # profile knots not strictly increasing in x (near-stationary curve)
-            g = bezier_y_at_x(cut.curve, xi)
-            res = di - g >= TIE_EPS
-        above[inner] = res
+    # rotate(pts, cut.theta), one coordinate at a time
+    c = math.cos(cut.theta)
+    s = math.sin(cut.theta)
+    x = pts[:, 0]
+    y = pts[:, 1]
+    above = s * x + c * y - cut.offset - bezier_y_at_x(cut.curve, c * x - s * y) >= TIE_EPS
     return bool(above[0]) if scalar else above
 
 
@@ -351,33 +332,3 @@ def _circum_three(ax, ay, bx, by, cx, cy):
     y = oy + ((rax * rax + ray * ray) * (rcx - rbx) + (rbx * rbx + rby * rby) * (rax - rcx) + (rcx * rcx + rcy * rcy) * (rbx - rax)) / d
     r = max(math.hypot(x - ax, y - ay), math.hypot(x - bx, y - by), math.hypot(x - cx, y - cy))
     return (x, y, r)
-
-
-def convex_hull(points) -> np.ndarray:
-    """Convex hull by Andrew's monotone chain; vertices counterclockwise.
-
-    Requires at least three non-collinear points; collinear interior points are
-    dropped from hull edges.
-    """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    if len(pts) < 3:
-        raise DegenerateInputError("hull needs at least 3 distinct points")
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    chain = [tuple(p) for p in pts]
-    lower = []
-    for p in chain:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0.0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(chain):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0.0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        raise DegenerateInputError("points are collinear")
-    return np.asarray(hull)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutgen import CutGenConfig, cut_from_dict, cut_to_dict
+from .data import InputFormatError
 from .likelihood import (
     default_alpha,
     log_beta,
@@ -247,37 +248,48 @@ def _rebuild_state(label_values, cuts, leaf_entries, elapsed) -> PartitionState:
 
 
 def model_from_dict(d: dict) -> FitResult:
-    if d.get("format") != "smsp-model":
+    """Fit from a ``model_to_dict`` dict.
+
+    Raises ValueError when ``d`` is not a model, and InputFormatError (a
+    ValueError) when a model lacks a field or holds a malformed one.
+    """
+    if not isinstance(d, dict) or d.get("format") != "smsp-model":
         raise ValueError("not a model file")
-    label_values = np.asarray(d["label_values"])
-    alpha = np.asarray(d["alpha"], dtype=float)
-    cfg = None
-    if d.get("config"):
-        c = d["config"]
-        cfg = SMCConfig(
-            n_particles=int(c["n_particles"]),
-            budget=_budget_from_json(c["budget"]),
-            max_cuts=c.get("max_cuts"),
-            ess_threshold=float(c.get("ess_threshold", 0.5)),
-            seed=int(c.get("seed", 0)),
+    missing = [key for key in ("label_values", "alpha", "particles") if key not in d]
+    if missing:
+        raise InputFormatError(f"model file lacks {', '.join(missing)}")
+    try:
+        label_values = np.asarray(d["label_values"])
+        alpha = np.asarray(d["alpha"], dtype=float)
+        cfg = None
+        if d.get("config"):
+            c = d["config"]
+            cfg = SMCConfig(
+                n_particles=int(c["n_particles"]),
+                budget=_budget_from_json(c["budget"]),
+                max_cuts=c.get("max_cuts"),
+                ess_threshold=float(c.get("ess_threshold", 0.5)),
+                seed=int(c.get("seed", 0)),
+            )
+        states = []
+        log_w = []
+        for part in d["particles"]:
+            cuts = [cut_from_dict(c) for c in part["cuts"]]
+            entries = []
+            for leaf in part["leaves"]:
+                path = tuple((int(cid), side == "above") for cid, side in leaf["path"])
+                entries.append((path, np.asarray(leaf["counts"], dtype=np.int64)))
+            states.append(_rebuild_state(label_values, cuts, entries, float(part["elapsed"])))
+            log_w.append(float(part["log_weight"]))
+        return FitResult(
+            states=states,
+            log_weights=np.asarray(log_w),
+            alpha=alpha,
+            label_values=label_values,
+            config=cfg,
         )
-    states = []
-    log_w = []
-    for part in d["particles"]:
-        cuts = [cut_from_dict(c) for c in part["cuts"]]
-        entries = []
-        for leaf in part["leaves"]:
-            path = tuple((int(cid), side == "above") for cid, side in leaf["path"])
-            entries.append((path, np.asarray(leaf["counts"], dtype=np.int64)))
-        states.append(_rebuild_state(label_values, cuts, entries, float(part["elapsed"])))
-        log_w.append(float(part["log_weight"]))
-    return FitResult(
-        states=states,
-        log_weights=np.asarray(log_w),
-        alpha=alpha,
-        label_values=label_values,
-        config=cfg,
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"malformed model file: {type(exc).__name__}: {exc}") from exc
 
 
 def save_model(fit: FitResult, path) -> None:
@@ -288,4 +300,8 @@ def save_model(fit: FitResult, path) -> None:
 
 def load_model(path) -> FitResult:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except ValueError as exc:
+            raise InputFormatError(f"{path} is not JSON: {exc}") from exc
+    return model_from_dict(d)

@@ -10,6 +10,7 @@ any worker count.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
 import pickle
 
@@ -153,23 +154,29 @@ class _Shard:
 
 
 def _worker_main(conn):
-    shard = _Shard(conn.recv())
-    conn.send(("ready",))
-    while True:
-        msg = conn.recv()
-        cmd = msg[0]
-        if cmd == "advance":
-            conn.send(shard.advance_round(msg[1]))
-        elif cmd == "gather":
-            conn.send(shard.gather_blobs(msg[1]))
-        elif cmd == "scatter":
-            shard.scatter(msg[1], msg[2])
-            conn.send(("ok",))
-        elif cmd == "final":
-            conn.send(shard.finalize(as_bytes=True))
-        elif cmd == "stop":
-            conn.close()
-            return
+    try:
+        shard = _Shard(conn.recv())
+        conn.send(("ready",))
+        while True:
+            msg = conn.recv()
+            cmd = msg[0]
+            if cmd == "advance":
+                conn.send(shard.advance_round(msg[1]))
+            elif cmd == "gather":
+                conn.send(shard.gather_blobs(msg[1]))
+            elif cmd == "scatter":
+                shard.scatter(msg[1], msg[2])
+                conn.send(("ok",))
+            elif cmd == "final":
+                conn.send(shard.finalize(as_bytes=True))
+            elif cmd == "stop":
+                return
+    except Exception as exc:
+        # the parent shuts the pool down and raises exc's type with its message
+        with contextlib.suppress(OSError):
+            conn.send(("error", type(exc), str(exc)))
+    finally:
+        conn.close()
 
 
 def ess(weights) -> float:
@@ -241,9 +248,16 @@ class SMCEngine:
                 self.pipes.append(parent)
                 self.procs.append(proc)
             for parent in self.pipes:
-                parent.recv()  # ready
+                self._recv(parent)  # ready
 
     # ---- shard RPC (uniform over inline and process shards) ----
+
+    def _recv(self, pipe):
+        reply = pipe.recv()
+        if type(reply) is tuple and reply[0] == "error":
+            self.close()
+            raise reply[1](reply[2])
+        return reply
 
     def _advance_all(self, round_index):
         if self.inline_shard is not None:
@@ -252,7 +266,7 @@ class SMCEngine:
             pipe.send(("advance", round_index))
         merged = {}
         for pipe in self.pipes:
-            merged.update(pipe.recv())
+            merged.update(self._recv(pipe))
         return merged
 
     def _resample(self, ancestors, still_active):
@@ -273,7 +287,7 @@ class SMCEngine:
             self.pipes[w].send(("gather", idxs))
         blobs = {}
         for w in by_shard:
-            blobs.update(self.pipes[w].recv())
+            blobs.update(self._recv(self.pipes[w]))
         for w in range(self.n_workers):
             assignments = [
                 (i, int(ancestors[i]), bool(still_active[i]))
@@ -282,7 +296,7 @@ class SMCEngine:
             needed_here = {int(ancestors[i]) for i in self.shard_indices[w]}
             self.pipes[w].send(("scatter", assignments, {a: blobs[a] for a in needed_here}))
         for w in range(self.n_workers):
-            self.pipes[w].recv()
+            self._recv(self.pipes[w])
 
     def _finalize(self):
         if self.inline_shard is not None:
@@ -291,7 +305,7 @@ class SMCEngine:
             pipe.send(("final",))
         merged = {}
         for pipe in self.pipes:
-            merged.update(pipe.recv())
+            merged.update(self._recv(pipe))
         return {i: pickle.loads(blob) for i, blob in merged.items()}
 
     def close(self):

@@ -328,6 +328,72 @@ def test_invalid_model_json_exit_code_4(tmp_path):
     assert rc == 4
 
 
+def _tiny_model():
+    # one particle, one straight cut along y = 0
+    return {
+        "format": "smsp-model",
+        "version": 1,
+        "label_values": [1, 2],
+        "alpha": [0.5, 0.5],
+        "config": None,
+        "particles": [
+            {
+                "log_weight": 0.0,
+                "weight": 1.0,
+                "elapsed": 0.0,
+                "cuts": [{"theta": 0.0, "order": 1, "controls": [[-1.0, 0.0], [1.0, 0.0]], "offset": 0.0}],
+                "leaves": [
+                    {"path": [[0, "below"]], "counts": [3, 0]},
+                    {"path": [[0, "above"]], "counts": [0, 3]},
+                ],
+            }
+        ],
+    }
+
+
+def _predict_with(tmp_path, model):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    points = tmp_path / "points.csv"
+    points.write_text("x,y,label\n0.1,0.5,1\n0.2,-0.5,1\n")
+    return main(["predict", "--model", str(path), "--input", str(points), "--out", str(tmp_path / "o.csv")])
+
+
+def test_tiny_model_predicts(tmp_path):
+    assert _predict_with(tmp_path, _tiny_model()) == 0
+    rows = (tmp_path / "o.csv").read_text().splitlines()
+    assert [r.rsplit(",", 1)[1] for r in rows[1:]] == ["2", "1"]
+
+
+@pytest.mark.parametrize("field", ["alpha", "label_values", "particles"])
+def test_model_missing_field_exit_code_3(tmp_path, capsys, field):
+    model = _tiny_model()
+    del model[field]
+    assert _predict_with(tmp_path, model) == 3
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "controls",
+    [[[1.0, 0.0], [-1.0, 0.0]], [[0.5, -1.0], [0.5, 1.0]]],
+    ids=["decreasing-x", "zero-span"],
+)
+def test_model_bad_cut_controls_exit_code_3(tmp_path, capsys, controls):
+    model = _tiny_model()
+    model["particles"][0]["cuts"][0]["controls"] = controls
+    assert _predict_with(tmp_path, model) == 3
+    assert "x-coordinates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["0.3,0.4", "0.3,abc,1"], ids=["missing-field", "non-numeric"])
+def test_csv_bad_row_exit_code_3(tmp_path, capsys, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"x,y,label\n0.1,0.2,1\n{row}\n0.5,0.6,2\n")
+    rc = main(["fit", "--input", str(bad), "--out", str(tmp_path / "m.json"), "--particles", "2"])
+    assert rc == 3
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_alpha_length_mismatch_exit_code_4(tmp_path):
     data_dir = _simulate(tmp_path, n=200, seed=10)
     rc = main(

@@ -13,7 +13,6 @@ from smsp.cutgen import (
     CutGenConfig,
     curve_height_extrema,
     cut_from_dict,
-    cut_separates,
     cut_to_dict,
     sample_control_points,
     sample_cut,
@@ -21,7 +20,7 @@ from smsp.cutgen import (
     sample_offset,
     sample_order,
 )
-from smsp.geometry import bezier_eval, side_of_cut
+from smsp.geometry import InvalidCurveError, bezier_eval, side_of_cut
 
 
 BOX = CutGenConfig(a=-1.0, b=1.0, c=-0.5, d=0.5)
@@ -172,7 +171,6 @@ def test_sample_cut_separates_cloud():
     for _ in range(200):
         cut, mask = sample_cut_masked(pts, CutGenConfig(), rng)
         assert mask.any() and not mask.all()
-        assert cut_separates(cut, pts)
         # the serialized cut reproduces the mask on its own
         assert np.array_equal(side_of_cut(pts, cut), mask)
 
@@ -236,6 +234,17 @@ def test_cut_from_dict_validates_order():
     d = cut_to_dict(cut)
     d["order"] = 1
     with pytest.raises(ValueError):
+        cut_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [[-1.0, 0.5, 0.2, 1.0], [0.3, 0.3, 0.3, 0.3]],
+    ids=["decreasing", "zero-span"],
+)
+def test_cut_from_dict_rejects_bad_control_xs(xs):
+    d = {"theta": 0.0, "order": 3, "controls": [[x, 0.0] for x in xs], "offset": 0.0}
+    with pytest.raises(InvalidCurveError):
         cut_from_dict(d)
 
 

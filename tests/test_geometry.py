@@ -1,12 +1,13 @@
 """Geometry unit tests: rotation, Bezier evaluation/inversion, cut sides,
-enclosing circles, convex hulls.
+enclosing circles.
 
 Oracles are independent of the implementation: Bernstein-basis evaluation
 for de Casteljau, brute-force pair/triple search for the smallest circle,
-and direct bisection through the public curve inverter for side_of_cut.
+and numpy.roots on the power-basis x(s) = x' for curve heights and cut sides.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,11 +17,9 @@ from smsp.geometry import (
     BezierCurve,
     BezierCut,
     Circle,
-    DegenerateInputError,
     InvalidCurveError,
     bezier_eval,
     bezier_y_at_x,
-    convex_hull,
     rotate,
     side_of_cut,
     smallest_enclosing_circle,
@@ -173,12 +172,47 @@ def test_y_at_x_scalar_input():
 # ------------------------------------------------------------ side of cut
 
 
-def _side_by_bisection(points, cut):
-    # contract definition: rotate, invert curve at x, threshold against offset
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rot = rotate(pts, cut.theta)
-    g = bezier_y_at_x(cut.curve, rot[:, 0], tol=1e-12)
-    return (rot[:, 1] - (g + cut.offset)) >= TIE_EPS
+def _oracle_height(controls, xq):
+    # curve height at each abscissa, endpoint heights outside the x-span;
+    # inside it, numpy.roots solves the power-basis x(s) = x' and the
+    # Bernstein sum gives the height at the root inside [0, 1]
+    xs = controls[:, 0]
+    n = len(xs) - 1
+    power = [math.comb(n, k) * np.diff(xs, n=k)[0] for k in range(n + 1)]
+    out = []
+    for x in xq:
+        if x <= xs[0]:
+            out.append(controls[0, 1])
+        elif x >= xs[-1]:
+            out.append(controls[-1, 1])
+        else:
+            roots = np.roots(power[:0:-1] + [power[0] - x])
+            miss = np.abs(roots.imag) + np.clip(-roots.real, 0.0, None) + np.clip(roots.real - 1.0, 0.0, None)
+            s = float(np.clip(roots[np.argmin(miss)].real, 0.0, 1.0))
+            out.append(_bernstein_eval(controls, s)[1])
+    return np.array(out)
+
+
+def _oracle_side(points, cut):
+    c, s = math.cos(cut.theta), math.sin(cut.theta)
+    xr = c * points[:, 0] - s * points[:, 1]
+    yr = s * points[:, 0] + c * points[:, 1]
+    return yr - cut.offset - _oracle_height(cut.curve.controls, xr) >= TIE_EPS
+
+
+def _straddling_points(cut, rng, s, gap=1e-6):
+    # points on the offset curve at parameters s, each moved up or down by
+    # at most ``gap``, mapped back to the unrotated frame
+    on = np.array([_bernstein_eval(cut.curve.controls, si) for si in s])
+    on[:, 1] += cut.offset + rng.choice([-1.0, 1.0], size=len(s)) * rng.uniform(0.01, 1.0, size=len(s)) * gap
+    c, sn = math.cos(cut.theta), math.sin(cut.theta)
+    return np.column_stack([c * on[:, 0] + sn * on[:, 1], -sn * on[:, 0] + c * on[:, 1]])
+
+
+def _assert_matches_oracle(cut, points):
+    with np.errstate(all="raise"):
+        got = side_of_cut(points, cut)
+    assert np.array_equal(got, _oracle_side(points, cut))
 
 
 def test_side_of_cut_horizontal_line():
@@ -212,21 +246,70 @@ def test_side_of_cut_rotated_vertical_line():
     assert side_of_cut(np.array([-0.4, 0.9]), cut) == False  # noqa: E712
 
 
-def test_side_of_cut_matches_bisection_randomized():
+def test_side_of_cut_matches_root_oracle_randomized():
     rng = np.random.default_rng(44)
-    for _ in range(200):
-        curve = _random_monotone_curve(rng)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        offset = rng.normal() * 0.5
-        cut = BezierCut(theta=theta, curve=curve, offset=offset)
-        pts = rng.uniform(-2.0, 2.0, size=(150, 2))
-        # sprinkle points straddling the curve closely
-        s = rng.uniform(0.0, 1.0, size=50)
-        on = np.array([bezier_eval(curve, si) for si in s])
-        on[:, 1] += offset + rng.normal(size=50) * 1e-6
-        near = rotate(on, -theta)
-        pts = np.vstack([pts, near])
-        assert np.array_equal(side_of_cut(pts, cut), _side_by_bisection(pts, cut))
+    for i in range(180):
+        curve = _random_monotone_curve(rng, 1 + i % 3)
+        cut = BezierCut(theta=rng.uniform(0.0, 2.0 * math.pi), curve=curve, offset=rng.normal() * 0.5)
+        far = rng.uniform(-2.0, 2.0, size=(100, 2))
+        near = _straddling_points(cut, rng, rng.uniform(0.0, 1.0, size=50))
+        _assert_matches_oracle(cut, np.vstack([far, near]))
+
+
+def test_side_of_cut_nearly_stationary_cubic():
+    # x'(s) is 3e-9 at both ends: Newton steps there leave the bracket
+    ctrl = np.array([[-0.5, 0.3], [-0.5 + 1e-9, -0.8], [0.5 - 1e-9, 0.9], [0.5, -0.2]])
+    cut = BezierCut(theta=0.4, curve=BezierCurve(ctrl), offset=0.1)
+    rng = np.random.default_rng(45)
+    s = np.concatenate([rng.uniform(0.0, 1.0, size=200), [1e-4, 1e-3, 1.0 - 1e-3, 1.0 - 1e-4]])
+    _assert_matches_oracle(cut, _straddling_points(cut, rng, s))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_side_of_cut_stationary_start(order):
+    # x_1 = x_0: the derivative of x(s) vanishes at s = 0
+    rng = np.random.default_rng(46)
+    for _ in range(20):
+        curve = _random_monotone_curve(rng, order)
+        ctrl = curve.controls.copy()
+        ctrl[1, 0] = ctrl[0, 0]
+        cut = BezierCut(theta=rng.uniform(0.0, 2.0 * math.pi), curve=BezierCurve(ctrl), offset=0.2)
+        s = np.concatenate([rng.uniform(0.0, 1.0, size=50), [1e-6, 1e-4, 1e-2]])
+        _assert_matches_oracle(cut, _straddling_points(cut, rng, s))
+
+
+def test_side_of_cut_points_at_curve_ends():
+    rng = np.random.default_rng(47)
+    for order in (1, 2, 3):
+        curve = _random_monotone_curve(rng, order)
+        cut = BezierCut(theta=0.0, curve=curve, offset=0.0)
+        ends = curve.controls[[0, 0, -1, -1]] + np.array([[0.0, 1e-6], [0.0, -1e-6], [0.0, 1e-6], [0.0, -1e-6]])
+        _assert_matches_oracle(cut, ends)
+        with np.errstate(all="raise"):
+            assert list(side_of_cut(ends, cut)) == [True, False, True, False]
+
+
+def test_y_at_x_one_ulp_inside_stationary_end():
+    # x_2 = x_3, and the first guess rounds to s = 1 where x'(s) = 0
+    ctrl = np.array([[-1.0, 0.2], [-0.5, -0.4], [1.0, 0.7], [1.0, 0.1]])
+    xq = np.array([np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)])
+    with np.errstate(all="raise"):
+        ys = bezier_y_at_x(BezierCurve(ctrl), xq)
+    assert np.allclose(ys, _oracle_height(ctrl, xq), rtol=0.0, atol=1e-6)
+
+
+def test_y_at_x_zero_span_returns_endpoint_heights():
+    curve = BezierCurve(np.array([[0.5, 0.1], [0.5, 0.7], [0.5, -0.3]]))
+    with np.errstate(all="raise"):
+        ys = bezier_y_at_x(curve, np.array([-1.0, 0.5 - 1e-12, 0.5, 2.0]))
+    assert list(ys) == [0.1, 0.1, -0.3, -0.3]
+
+
+def test_cut_pickles_small_after_side_test():
+    rng = np.random.default_rng(48)
+    cut = BezierCut(theta=0.3, curve=_random_monotone_curve(rng, 3), offset=0.1)
+    side_of_cut(rng.uniform(-1.0, 1.0, size=(500, 2)), cut)
+    assert len(pickle.dumps(cut, protocol=pickle.HIGHEST_PROTOCOL)) < 1000
 
 
 def test_side_of_cut_single_point_returns_scalar():
@@ -344,50 +427,3 @@ def test_circle_contains_method_slack():
     c = Circle(center=np.array([0.0, 0.0]), radius=1.0)
     assert c.contains(np.array([[1.0 + 1e-10, 0.0]]))
     assert not c.contains(np.array([[1.1, 0.0]]))
-
-
-# ------------------------------------------------------------- convex hull
-
-
-def _shoelace(poly):
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def test_hull_square_with_interior_points():
-    rng = np.random.default_rng(66)
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    inner = rng.uniform(0.05, 0.95, size=(100, 2))
-    hull = convex_hull(np.vstack([corners, inner]))
-    assert len(hull) == 4
-    assert _shoelace(hull) > 0  # counterclockwise
-    assert {tuple(v) for v in hull} == {tuple(c) for c in corners}
-
-
-def test_hull_contains_all_points():
-    rng = np.random.default_rng(67)
-    pts = rng.normal(size=(500, 2))
-    hull = convex_hull(pts)
-    assert _shoelace(hull) > 0
-    # every point lies on the left of every directed hull edge
-    for i in range(len(hull)):
-        a, b = hull[i], hull[(i + 1) % len(hull)]
-        cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
-        assert np.min(cross) > -1e-9
-
-
-def test_hull_unit_disk_sample_vertices_near_boundary():
-    rng = np.random.default_rng(68)
-    raw = rng.uniform(-1.0, 1.0, size=(4000, 2))
-    pts = raw[np.hypot(raw[:, 0], raw[:, 1]) < 1.0][:1000]
-    hull = convex_hull(pts)
-    assert np.all(np.hypot(hull[:, 0], hull[:, 1]) <= 1.0 + 1e-9)
-
-
-def test_hull_degenerate_inputs_raise():
-    with pytest.raises(DegenerateInputError):
-        convex_hull(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    with pytest.raises(DegenerateInputError):
-        convex_hull(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
-    with pytest.raises(DegenerateInputError):
-        convex_hull(np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]))

@@ -9,11 +9,13 @@ and for m = (2, 2) it is 1/30, so splitting a (2, 2) block into (2, 0) and
 """
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import smsp.parallel
 from smsp.cutgen import CutGenConfig
 from smsp.data import LabeledPoints, make_yinyang
 from smsp.inference import (
@@ -201,6 +203,17 @@ def test_smc_fit_worker_invariance():
     _, f3 = _small_fit(n_particles=12, seed=3, workers=3)
     d1, d2, d3 = model_to_dict(f1), model_to_dict(f2), model_to_dict(f3)
     assert d1 == d2 == d3
+
+
+def test_worker_error_reaches_caller(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("advance failed on purpose")
+
+    monkeypatch.setattr(smsp.parallel, "advance", fail)
+    data = make_yinyang(300, seed=1)
+    with pytest.raises(ValueError, match="advance failed on purpose"):
+        smc_fit(data, SMCConfig(n_particles=4, n_workers=2, seed=0))
+    assert multiprocessing.active_children() == []
 
 
 def test_smc_fit_resamples_when_weights_collapse():
